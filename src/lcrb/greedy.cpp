@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "lcrb/bbst.h"
 #include "util/error.h"
@@ -86,6 +85,189 @@ std::vector<NodeId> make_candidates(const G& g,
   return out;
 }
 
+/// Sigma calls made on a trajectory so far.
+std::size_t calls_made(const GreedyTrajectory& t) {
+  if (t.calls.empty()) return 0;
+  return t.terminal ? t.end_calls : t.calls.back();
+}
+
+void mark_terminal(GreedyTrajectory& t, std::size_t calls) {
+  t.terminal = true;
+  t.end_calls = calls;
+}
+
+double gain_of(const GreedyTrajectory& t, const SigmaEstimator& estimator,
+               NodeId v) {
+  std::vector<NodeId> with = t.picks;
+  with.push_back(v);
+  return estimator.sigma(with) - t.sigma;
+}
+
+/// Evaluates gains[i] = gain_of(candidates[i]) for every slot not marked
+/// in `skip`, in parallel when a pool is attached.
+void evaluate_gains(const GreedyTrajectory& t, const SigmaEstimator& estimator,
+                    const std::vector<bool>& skip, std::vector<double>& gains,
+                    ThreadPool* pool) {
+  const std::vector<NodeId>& candidates = t.candidates;
+  gains.assign(candidates.size(), 0.0);
+  auto eval = [&](std::size_t i) {
+    // NaN never compares greater-or-equal: skipped slots can't win an argmax.
+    gains[i] = !skip.empty() && skip[i]
+                   ? std::numeric_limits<double>::quiet_NaN()
+                   : gain_of(t, estimator, candidates[i]);
+  };
+  if (pool != nullptr && candidates.size() > 1) {
+    pool->parallel_for(candidates.size(), eval);
+  } else {
+    for (std::size_t i = 0; i < candidates.size(); ++i) eval(i);
+  }
+}
+
+/// Sets up the state before the first pick: the empty set's protected
+/// fraction and, for CELF, the round-0 gains every run evaluates up front.
+void start(GreedyTrajectory& t, std::vector<NodeId> candidates, bool use_celf,
+           const SigmaEstimator& estimator, ThreadPool* pool) {
+  t.candidates = std::move(candidates);
+  t.candidates.shrink_to_fit();  // kept for the estimator's lifetime
+  t.fractions.push_back(estimator.protected_fraction({}));
+  std::size_t calls = 1;
+  if (use_celf) {
+    std::vector<double> gains;
+    evaluate_gains(t, estimator, {}, gains, pool);
+    calls += t.candidates.size();
+    t.heap.reserve(t.candidates.size());
+    for (std::size_t i = 0; i < t.candidates.size(); ++i) {
+      t.heap.push_back({gains[i], t.candidates[i], 0});
+      std::push_heap(t.heap.begin(), t.heap.end());
+    }
+  } else {
+    t.used.assign(t.candidates.size(), false);
+  }
+  t.calls.push_back(calls);
+  if (t.candidates.empty()) mark_terminal(t, calls);
+}
+
+/// Appends a pick. A zero-gain pick ends every run that reaches it: either
+/// alpha is met or the greedy stops early.
+void accept(GreedyTrajectory& t, const SigmaEstimator& estimator, NodeId v,
+            double gain, std::size_t calls) {
+  t.picks.push_back(v);
+  t.sigma += gain;
+  t.gains.push_back(gain);
+  t.fractions.push_back(estimator.protected_fraction(t.picks));
+  t.calls.push_back(calls + 1);
+  if (gain <= 0.0) mark_terminal(t, calls + 1);
+}
+
+/// One CELF pick from the saved lazy heap (submodularity makes stale upper
+/// bounds sound). The heap is a binary heap on a vector, operated exactly as
+/// std::priority_queue operates its container.
+void celf_step(GreedyTrajectory& t, const SigmaEstimator& estimator) {
+  std::vector<GreedyTrajectory::HeapEntry>& heap = t.heap;
+  std::size_t calls = t.calls.back();
+  for (;;) {
+    std::pop_heap(heap.begin(), heap.end());
+    GreedyTrajectory::HeapEntry top = heap.back();
+    heap.pop_back();
+    if (top.round != t.picks.size()) {
+      top.gain = gain_of(t, estimator, top.node);
+      ++calls;
+      top.round = t.picks.size();
+      if (!heap.empty() && top.gain < heap.front().gain) {
+        heap.push_back(top);
+        std::push_heap(heap.begin(), heap.end());
+        continue;
+      }
+    }
+    // Accept (even zero-gain picks: alpha may still be unreachable and the
+    // caller's cap bounds the run).
+    accept(t, estimator, top.node, top.gain, calls);
+    break;
+  }
+  if (!t.terminal && heap.empty()) mark_terminal(t, t.calls.back());
+}
+
+/// One pick of the paper's plain greedy: re-evaluate every unused
+/// candidate. Gains land in per-candidate slots and the argmax scans them in
+/// candidate order afterwards — no mutex, and the pick (ties go to the
+/// lowest node id) cannot depend on thread scheduling.
+void plain_step(GreedyTrajectory& t, const SigmaEstimator& estimator,
+                ThreadPool* pool) {
+  std::vector<double> gains;
+  evaluate_gains(t, estimator, t.used, gains, pool);
+  const std::size_t calls =
+      t.calls.back() + t.candidates.size() - t.picks.size();
+  double best_gain = -1.0;
+  NodeId best_node = kInvalidNode;
+  std::size_t best_slot = 0;
+  for (std::size_t i = 0; i < t.candidates.size(); ++i) {
+    if (gains[i] > best_gain ||
+        (gains[i] == best_gain && t.candidates[i] < best_node)) {
+      best_gain = gains[i];
+      best_node = t.candidates[i];
+      best_slot = i;
+    }
+  }
+  if (best_node == kInvalidNode) {
+    mark_terminal(t, calls);
+    return;
+  }
+  t.used[best_slot] = true;
+  accept(t, estimator, best_node, best_gain, calls);
+  if (!t.terminal && t.picks.size() == t.candidates.size()) {
+    mark_terminal(t, t.calls.back());
+  }
+}
+
+struct Served {
+  std::size_t picks = 0;         ///< length of the answer's prefix
+  std::size_t calls = 0;         ///< sigma calls of a from-scratch run
+  std::size_t prefix_picks = 0;  ///< picks read from the stored trajectory
+  std::size_t calls_run = 0;     ///< sigma calls this call actually made
+};
+
+/// Walks the trajectory with the loop of a from-scratch run — stop once
+/// alpha is met, the cap is hit, no pick follows, or a pick had zero gain —
+/// and extends it one pick at a time when the walk runs past its end.
+Served serve(GreedyTrajectory& t, const GreedyConfig& cfg,
+             const SigmaEstimator& estimator, ThreadPool* pool) {
+  const std::size_t cap =
+      cfg.max_protectors == 0 ? t.candidates.size() : cfg.max_protectors;
+  const std::size_t stored = t.picks.size();
+  Served s;
+  std::size_t& k = s.picks;
+  for (;;) {
+    if (t.fractions[k] >= cfg.alpha || k >= cap) {
+      s.calls = t.calls[k];
+      break;
+    }
+    if (k == t.picks.size()) {
+      if (t.terminal) {
+        s.calls = t.end_calls;
+        break;
+      }
+      if (cfg.use_celf) {
+        celf_step(t, estimator);
+      } else {
+        plain_step(t, estimator, pool);
+      }
+      continue;
+    }
+    const double gain = t.gains[k++];
+    if (gain <= 0.0) {
+      if (cfg.use_celf && t.fractions[k] < cfg.alpha) {
+        LCRB_LOG_WARN << "greedy: zero marginal gain with fraction "
+                      << t.fractions[k] << " < alpha " << cfg.alpha
+                      << "; stopping early";
+      }
+      s.calls = t.calls[k];
+      break;
+    }
+  }
+  s.prefix_picks = std::min(k, stored);
+  return s;
+}
+
 }  // namespace
 
 template <GraphView G>
@@ -141,10 +323,8 @@ GreedyResult greedy_lcrbp_from_bridges(const G& g,
   SigmaEstimator estimator(g, {rumors.begin(), rumors.end()},
                            bridges.bridge_ends, cfg.sigma, pool);
   out = greedy_lcrbp_with_estimator(g, rumors, bridges, cfg, estimator, pool);
-  // With a private estimator the raw counters are race-free; report them so
-  // the legacy fields keep their historical meanings (nodes_visited includes
-  // the estimator's internal work, not just call counts).
-  out.sigma_evaluations = estimator.evaluations();
+  // With a private estimator the visit counter is race-free; report it so
+  // nodes_visited includes the estimator's internal work.
   out.nodes_visited = estimator.nodes_visited();
   return out;
 }
@@ -166,125 +346,32 @@ GreedyResult greedy_lcrbp_with_estimator(const G& g,
     return out;
   }
 
-  std::vector<NodeId> candidates = make_candidates(
-      g, rumors, bridges, cfg.candidates, cfg.max_candidates);
-  out.candidate_count = candidates.size();
-
-  // The estimator may be shared across concurrent queries, so its internal
-  // counters mix work from other callers. Count sigma calls at the (serial)
-  // call sites instead: one call = cfg.sigma.samples single-run evaluations,
-  // matching SigmaEstimator::evaluations() for a private estimator.
-  std::size_t sigma_calls = 0;
-
-  std::vector<NodeId> current;  // S_P so far
-  double current_sigma = 0.0;
-  double current_fraction = estimator.protected_fraction(current);
-  ++sigma_calls;
-
-  auto gain_of = [&](NodeId v) {
-    std::vector<NodeId> with = current;
-    with.push_back(v);
-    return estimator.sigma(with) - current_sigma;
-  };
-
-  const std::size_t cap =
-      cfg.max_protectors == 0 ? candidates.size() : cfg.max_protectors;
-
-  if (cfg.use_celf) {
-    // CELF: (stale gain, node, round when evaluated).
-    struct Entry {
-      double gain;
-      NodeId node;
-      std::size_t round;
-      bool operator<(const Entry& o) const { return gain < o.gain; }
-    };
-    std::priority_queue<Entry> heap;
-
-    // Round-0 gains, evaluated in parallel across candidates.
-    {
-      std::vector<double> gains(candidates.size());
-      auto eval = [&](std::size_t i) { gains[i] = gain_of(candidates[i]); };
-      if (pool != nullptr && candidates.size() > 1) {
-        pool->parallel_for(candidates.size(), eval);
-      } else {
-        for (std::size_t i = 0; i < candidates.size(); ++i) eval(i);
-      }
-      sigma_calls += candidates.size();
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        heap.push({gains[i], candidates[i], 0});
-      }
-    }
-
-    while (current_fraction < cfg.alpha && current.size() < cap &&
-           !heap.empty()) {
-      Entry top = heap.top();
-      heap.pop();
-      if (top.round != current.size()) {
-        top.gain = gain_of(top.node);
-        ++sigma_calls;
-        top.round = current.size();
-        if (!heap.empty() && top.gain < heap.top().gain) {
-          heap.push(top);
-          continue;
+  const GreedyTrajectoryKey key{static_cast<std::uint8_t>(cfg.candidates),
+                                cfg.max_candidates, cfg.use_celf};
+  const Served served =
+      estimator.with_trajectory(key, [&](GreedyTrajectory& t) {
+        const std::size_t calls_before = calls_made(t);
+        if (t.calls.empty()) {
+          start(t,
+                make_candidates(g, rumors, bridges, cfg.candidates,
+                                cfg.max_candidates),
+                cfg.use_celf, estimator, pool);
         }
-      }
-      // Accept (even zero-gain picks: alpha may still be unreachable and the
-      // caller's cap bounds the loop).
-      current.push_back(top.node);
-      current_sigma += top.gain;
-      out.gain_history.push_back(top.gain);
-      current_fraction = estimator.protected_fraction(current);
-      ++sigma_calls;
-      if (top.gain <= 0.0 && current_fraction < cfg.alpha) {
-        LCRB_LOG_WARN << "greedy: zero marginal gain with fraction "
-                      << current_fraction << " < alpha " << cfg.alpha
-                      << "; stopping early";
-        break;
-      }
-    }
-  } else {
-    // Paper's plain greedy: re-evaluate every candidate each round. Gains
-    // land in per-candidate slots and the argmax scans them in candidate
-    // order afterwards — no mutex, and the pick (ties go to the lowest node
-    // id) cannot depend on thread scheduling.
-    std::vector<bool> used(g.num_nodes(), false);
-    std::vector<double> gains(candidates.size());
-    while (current_fraction < cfg.alpha && current.size() < cap) {
-      auto eval = [&](std::size_t i) {
-        const NodeId v = candidates[i];
-        // NaN never compares greater-or-equal: used slots can't win below.
-        gains[i] = used[v] ? std::numeric_limits<double>::quiet_NaN()
-                           : gain_of(v);
-      };
-      if (pool != nullptr && candidates.size() > 1) {
-        pool->parallel_for(candidates.size(), eval);
-      } else {
-        for (std::size_t i = 0; i < candidates.size(); ++i) eval(i);
-      }
-      sigma_calls += candidates.size() - current.size();  // used slots skip
-      double best_gain = -1.0;
-      NodeId best_node = kInvalidNode;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (gains[i] > best_gain ||
-            (gains[i] == best_gain && candidates[i] < best_node)) {
-          best_gain = gains[i];
-          best_node = candidates[i];
-        }
-      }
-      if (best_node == kInvalidNode) break;
-      used[best_node] = true;
-      current.push_back(best_node);
-      current_sigma += best_gain;
-      out.gain_history.push_back(best_gain);
-      current_fraction = estimator.protected_fraction(current);
-      ++sigma_calls;
-      if (best_gain <= 0.0 && current_fraction < cfg.alpha) break;
-    }
-  }
+        Served s = serve(t, cfg, estimator, pool);
+        s.calls_run = calls_made(t) - calls_before;
+        out.protectors.assign(t.picks.begin(), t.picks.begin() + s.picks);
+        out.gain_history.assign(t.gains.begin(), t.gains.begin() + s.picks);
+        out.achieved_fraction = t.fractions[s.picks];
+        out.candidate_count = t.candidates.size();
+        return s;
+      });
 
-  out.protectors = std::move(current);
-  out.achieved_fraction = current_fraction;
-  out.sigma_evaluations = sigma_calls * cfg.sigma.samples;
+  // Counted in sigma calls at the trajectory's (serial) call sites: one call
+  // = cfg.sigma.samples single-run evaluations, the unit of
+  // SigmaEstimator::evaluations() for a private estimator.
+  out.sigma_evaluations = served.calls * cfg.sigma.samples;
+  out.prefix_picks = served.prefix_picks;
+  out.sigma_evaluations_run = served.calls_run * cfg.sigma.samples;
   // nodes_visited stays 0 here: the shared estimator's visit counter mixes
   // concurrent queries. greedy_lcrbp_from_bridges overwrites it.
   out.sigma_path = estimator.served_by();
@@ -338,6 +425,8 @@ MultiGreedyResult greedy_multi_with_estimator(
           greedy_lcrbp_with_estimator(g, rumors, bridges, c, estimator, pool);
       out.groups[ci] = r.protectors;
       out.combined.sigma_evaluations += r.sigma_evaluations;
+      out.combined.prefix_picks += r.prefix_picks;
+      out.combined.sigma_evaluations_run += r.sigma_evaluations_run;
       out.combined.gain_history.insert(out.combined.gain_history.end(),
                                        r.gain_history.begin(),
                                        r.gain_history.end());
@@ -352,11 +441,16 @@ MultiGreedyResult greedy_multi_with_estimator(
     out.deployed.erase(std::unique(out.deployed.begin(), out.deployed.end()),
                        out.deployed.end());
     out.combined.protectors = out.deployed;
-    out.combined.achieved_fraction =
-        bridges.bridge_ends.empty()
-            ? 1.0
-            : estimator.protected_fraction(out.deployed);
-    ++out.combined.sigma_evaluations;
+    if (bridges.bridge_ends.empty()) {
+      out.combined.achieved_fraction = 1.0;
+    } else {
+      // One protected_fraction call on the deployed union: samples
+      // single-run evaluations, the unit of sigma_evaluations.
+      out.combined.achieved_fraction =
+          estimator.protected_fraction(out.deployed);
+      out.combined.sigma_evaluations += cfg.sigma.samples;
+      out.combined.sigma_evaluations_run += cfg.sigma.samples;
+    }
   }
   std::sort(out.deployed.begin(), out.deployed.end());
   out.deployed.erase(std::unique(out.deployed.begin(), out.deployed.end()),
@@ -382,7 +476,6 @@ MultiGreedyResult greedy_multi_from_bridges(
                            bridges.bridge_ends, cfg.sigma, pool);
   MultiGreedyResult out = greedy_multi_with_estimator(
       g, rumors, bridges, cfg, budgets, mode, estimator, pool);
-  out.combined.sigma_evaluations = estimator.evaluations();
   out.combined.nodes_visited = estimator.nodes_visited();
   return out;
 }

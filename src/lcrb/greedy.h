@@ -54,9 +54,14 @@ struct GreedyResult {
   std::vector<NodeId> protectors;    ///< in pick order
   double achieved_fraction = 0.0;    ///< protected fraction at termination
   std::vector<double> gain_history;  ///< marginal sigma gain per pick
-  /// MC: single-run simulations performed. RIS: RR sets generated per pool —
-  /// the analogous unit of sampling work.
+  /// MC: single-run simulations a from-scratch run performs, even when the
+  /// picks were read from a stored trajectory (see sigma_evaluations_run).
+  /// RIS: RR sets generated per pool — the analogous unit of sampling work.
   std::size_t sigma_evaluations = 0;
+  /// MC: picks read from the estimator's stored trajectory instead of being
+  /// recomputed, and the single-run simulations this call actually ran.
+  std::size_t prefix_picks = 0;
+  std::size_t sigma_evaluations_run = 0;
   std::size_t candidate_count = 0;
   /// Elementary node-touch operations spent estimating sigma (both modes);
   /// the bench's common cost currency.
@@ -139,12 +144,19 @@ MultiGreedyResult greedy_multi_from_bridges(
 
 /// Variant against a caller-owned estimator (Monte-Carlo mode only). The
 /// query service shares one warm SigmaEstimator — and its realization cache —
-/// across every query of a session; SigmaEstimator::sigma() is thread-safe,
-/// so concurrent callers are fine. The estimator must have been built for
-/// the same graph/rumors/bridge ends and with cfg.sigma, or results are
-/// meaningless. Because the shared counters mix concurrent queries,
-/// sigma_evaluations is derived from this call's own (serial) call count and
-/// nodes_visited is reported as 0.
+/// across every query of a session; concurrent callers are fine. The
+/// estimator must have been built for the same graph/rumors/bridge ends and
+/// with cfg.sigma, or results are meaningless.
+///
+/// Budget and alpha only decide where the greedy stops, so every run with
+/// the same candidate knobs (strategy, max_candidates, use_celf) is a prefix
+/// of one pick sequence. The estimator stores that sequence (its trajectory)
+/// with the CELF heap or the plain greedy's used set; a call returns the
+/// longest stored prefix its alpha and cap allow and extends the trajectory
+/// only when it needs more picks. The answer is byte-identical to a
+/// from-scratch run, sigma_evaluations included; prefix_picks and
+/// sigma_evaluations_run say how much was reused. nodes_visited is reported
+/// as 0 because the shared counters mix concurrent queries.
 template <GraphView G>
 GreedyResult greedy_lcrbp_with_estimator(const G& g,
                                          std::span<const NodeId> rumors,

@@ -192,7 +192,24 @@ std::size_t SigmaEstimator::memory_bytes() const {
   for (const std::vector<bool>& bits : baseline_infected_) {
     bytes += bits.capacity() / 8;
   }
-  return bytes;
+  return bytes + trajectory_bytes_.load(std::memory_order_relaxed);
+}
+
+std::size_t GreedyTrajectory::memory_bytes() const {
+  return sizeof(*this) + candidates.capacity() * sizeof(NodeId) +
+         picks.capacity() * sizeof(NodeId) +
+         gains.capacity() * sizeof(double) +
+         fractions.capacity() * sizeof(double) +
+         calls.capacity() * sizeof(std::size_t) +
+         heap.capacity() * sizeof(HeapEntry) + used.capacity() / 8;
+}
+
+void SigmaEstimator::count_trajectory_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [key, t] : trajectories_) {
+    bytes += sizeof(key) + t.memory_bytes();
+  }
+  trajectory_bytes_.store(bytes, std::memory_order_relaxed);
 }
 
 double SigmaEstimator::sigma(std::span<const NodeId> protectors) const {

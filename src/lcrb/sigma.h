@@ -17,8 +17,11 @@
 #pragma once
 
 #include <atomic>
+#include <compare>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -63,6 +66,49 @@ struct SigmaConfig {
   /// this many bytes (dominant term: OPOAO pick tables at
   /// 4B x nodes x max_hops x samples). 0 disables the cap.
   std::size_t max_cache_bytes = std::size_t{1} << 30;
+};
+
+/// Which greedy run a trajectory belongs to: the knobs that fix the pick
+/// sequence on a given estimator. Budget and alpha are not part of it — they
+/// only decide where a run stops.
+struct GreedyTrajectoryKey {
+  std::uint8_t candidates = 0;  ///< CandidateStrategy
+  std::size_t max_candidates = 0;
+  bool use_celf = true;
+  auto operator<=>(const GreedyTrajectoryKey&) const = default;
+};
+
+/// The picks a greedy run made on one estimator, kept so that a later run
+/// with a different budget or alpha reads a prefix instead of starting over
+/// (greedy.cpp fills and reads it). Index k of the per-pick vectors
+/// describes the state after k picks.
+struct GreedyTrajectory {
+  /// CELF heap entry: stale gain, node, round when the gain was evaluated.
+  struct HeapEntry {
+    double gain;
+    NodeId node;
+    std::size_t round;
+    bool operator<(const HeapEntry& o) const { return gain < o.gain; }
+  };
+
+  std::vector<NodeId> candidates;
+  std::vector<NodeId> picks;
+  std::vector<double> gains;       ///< gains[k]: marginal gain of picks[k]
+  std::vector<double> fractions;   ///< protected fraction after k picks
+  /// sigma calls a from-scratch run makes to reach k picks; empty until the
+  /// run's first call sets up the k = 0 state.
+  std::vector<std::size_t> calls;
+  double sigma = 0.0;              ///< running sigma of the picks
+  std::vector<HeapEntry> heap;     ///< CELF lazy heap after the last pick
+  std::vector<bool> used;          ///< plain greedy: candidate slots picked
+  /// No pick follows: the heap or the candidates ran out, or the last pick
+  /// had zero gain.
+  bool terminal = false;
+  /// Terminal only: sigma calls a from-scratch run makes before it finds
+  /// that no pick follows.
+  std::size_t end_calls = 0;
+
+  std::size_t memory_bytes() const;
 };
 
 /// Estimates sigma(A) and the protected fraction of the bridge ends for a
@@ -114,8 +160,29 @@ class SigmaEstimator {
   std::uint64_t nodes_visited() const;
 
   /// Heap footprint of the warm state (realization cache or legacy baseline
-  /// bitsets), for the session registry's byte accounting.
+  /// bitsets, plus the stored greedy trajectories), for the session
+  /// registry's byte accounting.
   std::size_t memory_bytes() const;
+
+  /// Runs fn(GreedyTrajectory&) on the trajectory stored under `key`
+  /// (created empty on first use). One lock guards every trajectory of this
+  /// estimator and is held for the whole call, so concurrent greedy runs
+  /// extend a trajectory one at a time. If fn throws, the trajectory is
+  /// dropped: a half-made pick never reaches a later run.
+  template <class Fn>
+  auto with_trajectory(const GreedyTrajectoryKey& key, Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(trajectory_mu_);
+    GreedyTrajectory& t = trajectories_[key];
+    try {
+      auto out = fn(t);
+      count_trajectory_bytes();
+      return out;
+    } catch (...) {
+      t = GreedyTrajectory{};
+      count_trajectory_bytes();
+      throw;
+    }
+  }
 
  private:
   struct SampleOutcome {
@@ -126,6 +193,8 @@ class SigmaEstimator {
     double saved = 0.0;
     double uninfected = 0.0;
   };
+  /// Re-counts trajectory bytes; caller holds trajectory_mu_.
+  void count_trajectory_bytes() const;
   SampleOutcome evaluate_sample(std::size_t i,
                                 std::span<const NodeId> protectors) const;
   /// Evaluates every sample (in parallel when a pool is attached) and
@@ -149,6 +218,10 @@ class SigmaEstimator {
   mutable std::atomic<std::size_t> evals_{0};
   /// Legacy path's visit counter; the engine path reads SigmaEngine's.
   mutable std::atomic<std::uint64_t> legacy_visits_{0};
+  mutable std::mutex trajectory_mu_;
+  mutable std::map<GreedyTrajectoryKey, GreedyTrajectory> trajectories_;
+  /// Kept outside the lock so memory_bytes() never waits on a greedy run.
+  mutable std::atomic<std::size_t> trajectory_bytes_{0};
 };
 
 }  // namespace lcrb

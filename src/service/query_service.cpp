@@ -35,6 +35,15 @@ double elapsed_ms(Clock::time_point since) {
       .count();
 }
 
+/// How much of a Monte-Carlo greedy answer came from the estimator's stored
+/// trajectory: picks read from it, and single-run evaluations actually run
+/// (sigma_evaluations in the payload stays the from-scratch count).
+void set_greedy_reuse(JsonValue& meta, const GreedyResult& r) {
+  meta.set("greedy_prefix_picks", static_cast<std::uint64_t>(r.prefix_picks));
+  meta.set("sigma_calls_run",
+           static_cast<std::uint64_t>(r.sigma_evaluations_run));
+}
+
 std::size_t resolve_executors(std::size_t max_concurrent) {
   if (max_concurrent != 0) return max_concurrent;
   const std::size_t hw = std::thread::hardware_concurrency();
@@ -268,6 +277,7 @@ QueryResult QueryService::execute_select(const QueryRequest& req,
       result.candidate_count = r.combined.candidate_count;
       result.sigma_evaluations = r.combined.sigma_evaluations;
       meta.set("multi_mode", to_string(opts.multi_mode));
+      set_greedy_reuse(meta, r.combined);
       return result;
     }
     GreedyConfig gc = opts.greedy_config();
@@ -283,6 +293,7 @@ QueryResult QueryService::execute_select(const QueryRequest& req,
     result.sigma_evaluations = r.sigma_evaluations;
     meta.set("sigma_path", to_string(r.sigma_path));
     meta.set("sigma_fallback", to_string(r.sigma_fallback));
+    set_greedy_reuse(meta, r);
   } else if (opts.selector == SelectorKind::kGreedy) {
     // RIS mode: shared warm RR pools, evaluated over the first-theta prefix.
     bool ris_hit = false;

@@ -61,6 +61,14 @@ struct PlantedCase {
   std::uint64_t seed;
 };
 
+// Without this, gtest prints the case as raw bytes that include the vector's
+// heap pointer, and ctest's discovered test names change from build to build.
+void PrintTo(const PlantedCase& pc, std::ostream* os) {
+  *os << "sizes";
+  for (const NodeId s : pc.sizes) *os << '_' << s;
+  *os << "_seed" << pc.seed;
+}
+
 class LouvainRecoveryTest : public ::testing::TestWithParam<PlantedCase> {};
 
 TEST_P(LouvainRecoveryTest, RecoversPlantedCommunities) {

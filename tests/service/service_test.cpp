@@ -96,6 +96,39 @@ TEST_F(ServiceFixture, WarmRepeatIsByteIdenticalAndHitsTheCaches) {
   EXPECT_EQ(sibling.protectors.size(), 2u);
 }
 
+TEST_F(ServiceFixture, WarmGreedyResumesTheStoredTrajectory) {
+  auto svc = make_service();
+  QueryRequest cold = select_request();
+  cold.options.alpha = 1.0;
+  cold.options.budget = 4;
+  const QueryResult first = svc->run(cold);
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_EQ(first.protectors.size(), 4u);
+  EXPECT_EQ(first.meta.get_int("greedy_prefix_picks", -1), 0);
+  EXPECT_EQ(first.meta.get_int("sigma_calls_run", -1),
+            static_cast<std::int64_t>(first.sigma_evaluations));
+
+  // A larger budget on the warm estimator reads the four stored picks and
+  // extends from the saved CELF heap.
+  QueryRequest warm = cold;
+  warm.options.budget = 6;
+  const QueryResult second = svc->run(warm);
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_GT(second.protectors.size(), 4u);
+  EXPECT_TRUE(second.meta.get_bool("estimator_cache_hit", false));
+  EXPECT_FALSE(second.meta.get_bool("result_cache_hit", true));
+  EXPECT_EQ(second.meta.get_int("greedy_prefix_picks", -1), 4);
+  EXPECT_LT(second.meta.get_int("sigma_calls_run", -1),
+            static_cast<std::int64_t>(second.sigma_evaluations));
+
+  // Byte-equal to a fresh service answering the same request cold.
+  auto fresh = make_service();
+  const QueryResult cold_six = fresh->run(warm);
+  ASSERT_TRUE(cold_six.ok) << cold_six.error;
+  EXPECT_EQ(cold_six.meta.get_int("greedy_prefix_picks", -1), 0);
+  EXPECT_EQ(second.to_json(false).dump(), cold_six.to_json(false).dump());
+}
+
 TEST_F(ServiceFixture, RisWarmRepeatIsByteIdentical) {
   auto svc = make_service();
   QueryRequest req = select_request();
