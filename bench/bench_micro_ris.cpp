@@ -12,17 +12,23 @@
 //   agreement_ok      1 when |sigma_mc_ref - sigma_ris_ref| <=
 //                     eps * |B| + Hoeffding tolerance (matches the stat
 //                     test's check)
+//   ef_over_csr       BM_RisGenerate_Backend: OPOAO RR generation time on
+//                     the Elias-Fano graph over CSR, same run
 //
-// Regenerate the committed record with:
+// Regenerate the committed record from a Release build with:
 //   ./build/bench/bench_micro_ris --benchmark_out=bench/BENCH_ris.json
 //       --benchmark_out_format=json   (both flags on one line)
+// plus the --benchmark_context machine stamp docs/benchmarks.md gives.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "build_guard.h"
+#include "graph/ef_graph.h"
 #include "lcrb/experiments.h"
 #include "util/threadpool.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -188,6 +194,62 @@ void BM_RisGenerate_ThreadSweep(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
 }
 
+/// Backend A/B of the OPOAO reverse search: the same 512 draws on the Email
+/// analog (scale 0.3, 5 rumors in the planted small community) grown on CSR
+/// and on Elias-Fano, one thread, timed back to back in every iteration.
+/// `ef_over_csr` is the same-run time ratio; `pools_equal` is 1 when the two
+/// pools agree set for set.
+void BM_RisGenerate_Backend(benchmark::State& state) {
+  struct EmailSetup {
+    DiGraph csr;
+    EfGraph ef;
+    std::vector<NodeId> rumors, ends;
+  };
+  static const EmailSetup setup = [] {
+    DatasetSubstitute ds = make_enron_like(/*seed=*/21, /*scale=*/0.3);
+    const Partition part(ds.net.membership);
+    ExperimentSetup ex =
+        prepare_experiment(ds.net.graph, part, ds.planted_small, 5, 102);
+    EmailSetup out;
+    out.ef = EfGraph::from_csr(ds.net.graph);
+    out.csr = std::move(ds.net.graph);
+    out.rumors = std::move(ex.rumors);
+    out.ends = std::move(ex.bridges.bridge_ends);
+    return out;
+  }();
+  constexpr std::size_t kDraws = 512;
+  RisConfig rc;
+  rc.model = DiffusionModel::kOpoao;
+  rc.seed = 9;
+  const RrSampler csr(setup.csr, setup.rumors, setup.ends, rc);
+  const RrSampler ef(setup.ef, setup.rumors, setup.ends, rc);
+  double csr_ms = 0.0, ef_ms = 0.0;
+  bool equal = true;
+  for (auto _ : state) {
+    RrPool a, b;
+    Timer t;
+    csr.extend(a, 0, kDraws);
+    csr_ms += t.millis();
+    t.restart();
+    ef.extend(b, 0, kDraws);
+    ef_ms += t.millis();
+    benchmark::DoNotOptimize(a.total_entries());
+    benchmark::DoNotOptimize(b.total_entries());
+    equal = equal && a.nodes_visited() == b.nodes_visited() &&
+            a.total_entries() == b.total_entries();
+    for (std::size_t i = 0; equal && i < kDraws; ++i) {
+      const auto x = a.set_nodes(i), y = b.set_nodes(i);
+      equal = std::equal(x.begin(), x.end(), y.begin(), y.end());
+    }
+  }
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters["csr_ms"] = csr_ms / iters;
+  state.counters["ef_ms"] = ef_ms / iters;
+  state.counters["ef_over_csr"] = csr_ms > 0.0 ? ef_ms / csr_ms : 0.0;
+  state.counters["pools_equal"] = equal ? 1.0 : 0.0;
+  state.counters["bridge_ends"] = static_cast<double>(setup.ends.size());
+}
+
 BENCHMARK(BM_SelectMc_HepOpoao)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SelectRis_HepOpoao)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SelectMc_HepDoam)->Unit(benchmark::kMillisecond);
@@ -201,6 +263,7 @@ BENCHMARK(BM_RisGenerate_ThreadSweep)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+BENCHMARK(BM_RisGenerate_Backend)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 }  // namespace
 

@@ -26,10 +26,13 @@
 //    the realization-cache replays and the reverse-reachability samplers.
 //    "Clearing" between uses is a counter bump, not an O(n) write; leasing
 //    is owned by the calling layer (sigma_engine.cpp, ris.cpp).
+//    ReverseScratch also keeps the out-rows its draws decoded (out_row).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "diffusion/cascade.h"
@@ -205,7 +208,8 @@ struct ReverseShared {
 
 /// Per-draw working memory for the reverse-reachability samplers, reused
 /// across RR sets via epoch stamping so a fresh draw costs O(touched), not
-/// O(n). Leased under a mutex by RrSampler; concurrent draws each hold one.
+/// O(n). Leased under a mutex by RrSampler for the length of one extend or
+/// rr_set call; concurrent draws each hold one.
 struct ReverseScratch {
   ReverseScratch(NodeId n, std::uint32_t hops)
       : t0_epoch(n, 0),
@@ -224,6 +228,57 @@ struct ReverseScratch {
     }
   }
 
+  /// u's out-row as contiguous memory, for searches that index rows at
+  /// random positions (the OPOAO pick stream). A backend whose rows already
+  /// are spans (CSR) is handed through, resolved at compile time. Any other
+  /// backend (Elias-Fano, where row[i] is a select) has u's row decoded once,
+  /// sequentially, into `rows` the first time u is touched; every later
+  /// call, by any draw sharing this scratch, indexes the plain copy. The
+  /// graph is immutable, so bump_epoch leaves decoded rows alone. The span
+  /// is valid until the next out_row call.
+  template <class G>
+  std::span<const NodeId> out_row(const G& g, NodeId u) {
+    if constexpr (std::is_same_v<decltype(g.out_neighbors(u)),
+                                 std::span<const NodeId>>) {
+      return g.out_neighbors(u);
+    } else {
+      if (row_at.empty()) {
+        LCRB_REQUIRE(g.num_edges() < kNotDecoded,
+                     "decoded-row offsets must fit in 32 bits");
+        row_at.assign(g.num_nodes(), RowSlot{});
+      }
+      RowSlot& slot = row_at[u];
+      if (slot.off == kNotDecoded) {
+        const auto nbrs = g.out_neighbors(u);
+        const std::size_t off = rows.size();
+        if (rows.capacity() < off + nbrs.size()) {
+          // Geometric growth capped at the arc count: the arena never holds
+          // more than 4 B per arc.
+          rows.reserve(std::min<std::size_t>(
+              std::max(off + nbrs.size(), 2 * rows.capacity()),
+              g.num_edges()));
+        }
+        for (NodeId v : nbrs) rows.push_back(v);
+        slot = {static_cast<std::uint32_t>(off),
+                static_cast<std::uint32_t>(nbrs.size())};
+      }
+      return {rows.data() + slot.off, slot.len};
+    }
+  }
+
+  /// Heap footprint (capacity-based), for the owner's byte accounting.
+  std::size_t memory_bytes() const {
+    std::size_t words = t0_epoch.capacity() + t0.capacity() +
+                        lat_epoch.capacity() + lat.capacity() +
+                        done_epoch.capacity() + frontier.capacity() +
+                        next.capacity() + active.capacity() +
+                        collected.capacity() + rows.capacity();
+    for (const auto& b : buckets) words += b.capacity();
+    return sizeof(*this) + words * sizeof(std::uint32_t) +
+           buckets.capacity() * sizeof(buckets[0]) +
+           row_at.capacity() * sizeof(RowSlot);
+  }
+
   std::uint32_t epoch = 0;
   /// OPOAO: rumor-only baseline activation step. IC/DOAM: reverse distance.
   std::vector<std::uint32_t> t0_epoch, t0;
@@ -233,6 +288,18 @@ struct ReverseScratch {
   std::vector<NodeId> frontier, next, active, collected;
   /// OPOAO bucket queue over claim steps; always drained back to empty.
   std::vector<std::vector<NodeId>> buckets;
+
+ private:
+  static constexpr std::uint32_t kNotDecoded = ~std::uint32_t{0};
+  /// Where u's decoded out-row sits in `rows`; off == kNotDecoded until then.
+  struct RowSlot {
+    std::uint32_t off = kNotDecoded;
+    std::uint32_t len = 0;
+  };
+  /// out_row's arena, allocated on the first decode (never for CSR): 8 B per
+  /// node plus 4 B per arc of the rows this scratch's draws touched.
+  std::vector<RowSlot> row_at;
+  std::vector<NodeId> rows;
 };
 
 }  // namespace lcrb

@@ -438,11 +438,14 @@ struct OpoaoTraits {
     // full replay would infect later stay epoch-stale, which phase 2 treats
     // identically to T0(u) > deadline. Null roots still replay all `hops`
     // steps (reachability can flip at any step: picks re-draw per step).
+    // Both phases index out-rows at hashed positions, so every row read goes
+    // through sc.out_row: on Elias-Fano a row is decoded once per scratch
+    // instead of paying a select per pick.
     sc.active.clear();
     for (NodeId v : rumors) {
       sc.t0_epoch[v] = sc.epoch;
       sc.t0[v] = 0;
-      if (g.out_degree(v) > 0) sc.active.push_back(v);
+      if (!sc.out_row(g, v).empty()) sc.active.push_back(v);
     }
     for (std::uint32_t step = 1; step <= hops && !sc.active.empty() &&
                                  sc.t0_epoch[root] != sc.epoch;
@@ -450,13 +453,13 @@ struct OpoaoTraits {
       const std::size_t prev = sc.active.size();
       for (std::size_t i = 0; i < prev; ++i) {
         const NodeId v = sc.active[i];
-        const auto nbrs = g.out_neighbors(v);
+        const auto nbrs = sc.out_row(g, v);
         const NodeId w = nbrs[opoao_pick_hash(seed, v, step) % nbrs.size()];
         ++visits;
         if (sc.t0_epoch[w] != sc.epoch) {
           sc.t0_epoch[w] = sc.epoch;
           sc.t0[w] = step;
-          if (g.out_degree(w) > 0) sc.active.push_back(w);
+          if (!sc.out_row(g, w).empty()) sc.active.push_back(w);
         }
       }
     }
@@ -486,7 +489,7 @@ struct OpoaoTraits {
         for (NodeId u : g.in_neighbors(w)) {
           ++visits;
           if (sc.done_epoch[u] == sc.epoch || is_rumor[u]) continue;
-          const auto nbrs = g.out_neighbors(u);
+          const auto nbrs = sc.out_row(g, u);
           std::uint32_t tstar = 0;
           for (std::uint32_t t = b; t >= 1; --t) {
             ++visits;

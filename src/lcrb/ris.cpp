@@ -241,7 +241,9 @@ void RrPool::validate() const {
 // RrSampler
 
 /// RAII lease of a per-draw ReverseScratch (diffusion/kernel.h) from the
-/// sampler's free list; concurrent draws each hold their own buffer.
+/// sampler's free list; concurrent draws each hold their own buffer. The
+/// shards of one extend call reuse each other's returned scratch (and its
+/// decoded rows).
 struct RrSampler::ScratchLease {
   explicit ScratchLease(const RrSampler& owner) : owner_(owner) {
     {
@@ -262,6 +264,18 @@ struct RrSampler::ScratchLease {
   }
   const RrSampler& owner_;
   std::unique_ptr<ReverseScratch> scratch;
+};
+
+/// Frees the sampler's idle scratch when a draw call returns or throws, so
+/// nothing outlives the extend/rr_set call that leased it. Declared before
+/// the call's leases, it runs after they have been handed back.
+struct RrSampler::ScratchRelease {
+  ~ScratchRelease() {
+    std::vector<std::unique_ptr<ReverseScratch>> idle;
+    std::lock_guard<std::mutex> lock(owner_.scratch_mu_);
+    idle.swap(owner_.scratch_free_);
+  }
+  const RrSampler& owner_;
 };
 
 RrSampler::RrSampler(GraphRef g, std::vector<NodeId> rumors,
@@ -342,11 +356,19 @@ std::vector<NodeId> RrSampler::rr_set(std::size_t root_idx,
   std::uint64_t local = 0;
   std::vector<NodeId> out;
   {
+    const ScratchRelease release{*this};
     ScratchLease lease(*this);
     rr_set_into(root_idx, realization_seed, *lease.scratch, out, local);
   }
   if (visits != nullptr) *visits += local;
   return out;
+}
+
+std::size_t RrSampler::retained_scratch_bytes() const {
+  std::lock_guard<std::mutex> lock(scratch_mu_);
+  std::size_t bytes = scratch_free_.capacity() * sizeof(scratch_free_[0]);
+  for (const auto& sc : scratch_free_) bytes += sc->memory_bytes();
+  return bytes;
 }
 
 void RrSampler::extend(RrPool& pool, std::uint64_t stream,
@@ -365,6 +387,7 @@ void RrSampler::extend(RrPool& pool, std::uint64_t stream,
       (threads > 1 && count > 1) ? std::min(count, threads * 4) : 1;
   const std::size_t chunk = (count + num_shards - 1) / num_shards;
 
+  const ScratchRelease release{*this};
   std::vector<RrShard> shards(num_shards);
   auto fill_shard = [&](std::size_t s) {
     const std::size_t lo = s * chunk;

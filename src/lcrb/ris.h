@@ -236,12 +236,18 @@ class RrSampler {
   void extend(RrPool& pool, std::uint64_t stream, std::size_t target_sets,
               ThreadPool* tp = nullptr) const;
 
+  /// Heap bytes of idle scratch buffers the sampler holds between calls.
+  /// extend and rr_set release their scratch on return, so this is 0 unless
+  /// a call is in flight; RisContext counts it all the same.
+  std::size_t retained_scratch_bytes() const;
+
   const std::vector<NodeId>& bridge_ends() const { return bridge_ends_; }
   GraphRef graph() const { return g_; }
   const RisConfig& config() const { return cfg_; }
 
  private:
   struct ScratchLease;
+  struct ScratchRelease;
 
   /// Appends the RR set of one (root, realization) pair to `nodes` (its
   /// freshly written tail sorted ascending) and returns its size; the shard
@@ -333,9 +339,11 @@ struct RisContext {
   RrPool validation;  ///< stream 1
   mutable std::shared_mutex mu;  ///< extend: unique; evaluate: shared
 
-  /// Pool heap footprint (the sampler's scratch is transient and excluded).
+  /// Pool heap footprint plus any scratch the sampler retains (none once
+  /// extend has returned).
   std::size_t memory_bytes() const {
-    return selection.memory_bytes() + validation.memory_bytes();
+    return selection.memory_bytes() + validation.memory_bytes() +
+           sampler.retained_scratch_bytes();
   }
 };
 

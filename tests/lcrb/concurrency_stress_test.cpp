@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "graph/ef_graph.h"
 #include "graph/generators.h"
 #include "lcrb/ris.h"
 #include "lcrb/sigma.h"
@@ -100,47 +101,54 @@ TEST(SigmaEstimatorConcurrencyTest, PooledSigmaMatchesSerialBitwise) {
 
 TEST(RrSamplerConcurrencyTest, ConcurrentRrSetsMatchSerial) {
   Rng rng(107);
-  const DiGraph g = erdos_renyi(90, 0.07, true, rng);
+  const DiGraph csr = erdos_renyi(90, 0.07, true, rng);
+  const EfGraph ef = EfGraph::from_csr(csr);
   std::vector<NodeId> ends;
   for (NodeId v = 5; v < 25; ++v) ends.push_back(v);
 
-  for (DiffusionModel model :
-       {DiffusionModel::kOpoao, DiffusionModel::kIc, DiffusionModel::kDoam}) {
-    RisConfig cfg;
-    cfg.model = model;
-    cfg.ic_edge_prob = 0.3;
-    RrSampler sampler(g, {0, 1}, ends, cfg);
+  // On EF the OPOAO search decodes rows into each leased scratch; the
+  // serial reference comes from CSR, so a decode race shows as a mismatch.
+  for (GraphRef g : {GraphRef(csr), GraphRef(ef)}) {
+    for (DiffusionModel model :
+         {DiffusionModel::kOpoao, DiffusionModel::kIc, DiffusionModel::kDoam}) {
+      RisConfig cfg;
+      cfg.model = model;
+      cfg.ic_edge_prob = 0.3;
+      const RrSampler reference(csr, {0, 1}, ends, cfg);
+      RrSampler sampler(g, {0, 1}, ends, cfg);
 
-    struct Job {
-      std::size_t root;
-      std::uint64_t seed;
-    };
-    std::vector<Job> jobs;
-    std::vector<std::vector<NodeId>> want;
-    for (std::size_t r = 0; r < ends.size(); ++r) {
-      for (std::uint64_t s : {11ULL, 222ULL, 3333ULL}) {
-        jobs.push_back({r, s});
-        want.push_back(sampler.rr_set(r, s));
+      struct Job {
+        std::size_t root;
+        std::uint64_t seed;
+      };
+      std::vector<Job> jobs;
+      std::vector<std::vector<NodeId>> want;
+      for (std::size_t r = 0; r < ends.size(); ++r) {
+        for (std::uint64_t s : {11ULL, 222ULL, 3333ULL}) {
+          jobs.push_back({r, s});
+          want.push_back(reference.rr_set(r, s));
+        }
       }
-    }
-    std::vector<std::thread> workers;
-    std::vector<int> ok(kThreads, 0);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&, t] {
-        int good = 1;
-        for (int round = 0; round < 3; ++round) {
-          for (std::size_t j = 0; j < jobs.size(); ++j) {
-            if (sampler.rr_set(jobs[j].root, jobs[j].seed) != want[j]) {
-              good = 0;
+      std::vector<std::thread> workers;
+      std::vector<int> ok(kThreads, 0);
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+          int good = 1;
+          for (int round = 0; round < 3; ++round) {
+            for (std::size_t j = 0; j < jobs.size(); ++j) {
+              if (sampler.rr_set(jobs[j].root, jobs[j].seed) != want[j]) {
+                good = 0;
+              }
             }
           }
-        }
-        ok[t] = good;
-      });
-    }
-    for (auto& w : workers) w.join();
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      EXPECT_EQ(ok[t], 1) << to_string(model) << " thread " << t;
+          ok[t] = good;
+        });
+      }
+      for (auto& w : workers) w.join();
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(ok[t], 1) << to_string(model) << " "
+                            << to_string(g.backend()) << " thread " << t;
+      }
     }
   }
 }

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "community/partition.h"
 #include "graph/builder.h"
+#include "graph/ef_graph.h"
 #include "graph/generators.h"
 #include "lcrb/bridge.h"
 #include "lcrb/greedy.h"
@@ -587,6 +589,135 @@ TEST(RisEstimatorTest, SigmaIsMonotoneInTheProtectorSet) {
     EXPECT_GE(cur, prev - 1e-12);
     prev = cur;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Backend equivalence: the Elias-Fano graph serves the reverse searches from
+// decoded rows (OPOAO) or sequential row scans (IC/DOAM); the pools must be
+// byte-identical to CSR's at every thread count.
+
+struct BackendFixture {
+  DiGraph csr;
+  EfGraph ef;
+  std::vector<NodeId> rumors;
+  std::vector<NodeId> ends;
+};
+
+/// 250 sparse random nodes, 20 sinks (out-degree 0, in-degree 3) at
+/// 250..269, a hub (node 1) whose 200-arc out-row needs at least 200 set
+/// high bits — four or more bitvector words — and rumors {0, 260}, the
+/// second of which has no out-edges.
+BackendFixture backend_fixture() {
+  Rng rng(31);
+  std::vector<std::pair<NodeId, NodeId>> arcs;
+  for (NodeId u = 0; u < 250; ++u) {
+    for (NodeId v = 0; v < 250; ++v) {
+      if (u != v && u != 1 && rng.next_below(100) < 2) arcs.emplace_back(u, v);
+    }
+  }
+  for (NodeId v = 2; v < 202; ++v) arcs.emplace_back(1, v);
+  for (NodeId u = 2; u < 250; u += 25) arcs.emplace_back(u, 1);
+  for (NodeId s = 250; s < 270; ++s) {
+    for (int k = 0; k < 3; ++k) {
+      arcs.emplace_back(static_cast<NodeId>(rng.next_below(250)), s);
+    }
+  }
+  BackendFixture f;
+  f.csr = make_graph(270, arcs);
+  f.ef = EfGraph::from_csr(f.csr);
+  f.rumors = {0, 260};
+  f.ends = {1, 250, 251, 252, 253};
+  for (NodeId v = 100; v < 140; ++v) f.ends.push_back(v);
+  return f;
+}
+
+void expect_same_pool(const RrPool& want, const RrPool& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.num_sets(), got.num_sets()) << what;
+  EXPECT_EQ(want.num_null(), got.num_null()) << what;
+  EXPECT_EQ(want.nodes_visited(), got.nodes_visited()) << what;
+  EXPECT_EQ(want.total_entries(), got.total_entries()) << what;
+  for (std::size_t i = 0; i < want.num_sets(); ++i) {
+    const auto a = want.set_nodes(i);
+    const auto b = got.set_nodes(i);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << what << " set " << i;
+  }
+}
+
+TEST(RrPoolBackendTest, CsrAndEfPoolsAreByteIdenticalAtEveryThreadCount) {
+  const BackendFixture f = backend_fixture();
+  ASSERT_EQ(f.csr.out_degree(260), 0u);
+  ASSERT_EQ(f.ef.out_degree(1), 200u);
+  ThreadPool one(1), four(4);
+  for (DiffusionModel model :
+       {DiffusionModel::kOpoao, DiffusionModel::kIc, DiffusionModel::kDoam}) {
+    RisConfig cfg;
+    cfg.model = model;
+    cfg.ic_edge_prob = 0.3;
+    cfg.max_hops = 12;
+    const RrSampler csr_sampler(f.csr, f.rumors, f.ends, cfg);
+    const RrSampler ef_sampler(f.ef, f.rumors, f.ends, cfg);
+    RrPool want;
+    csr_sampler.extend(want, 0, 300);
+    // The fixture must exercise real reverse searches, not only null sets.
+    ASSERT_LT(want.num_null(), want.num_sets()) << to_string(model);
+    ASSERT_GT(want.total_entries(), want.num_sets()) << to_string(model);
+    for (ThreadPool* tp : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+      const std::string what =
+          to_string(model) + " threads=" +
+          std::to_string(tp == nullptr ? 0 : tp->thread_count());
+      RrPool csr_pool, ef_pool;
+      csr_sampler.extend(csr_pool, 0, 300, tp);
+      ef_sampler.extend(ef_pool, 0, 300, tp);
+      expect_same_pool(want, csr_pool, "CSR " + what);
+      expect_same_pool(want, ef_pool, "EF " + what);
+    }
+  }
+}
+
+TEST(RrPoolBackendTest, ExtendReleasesItsScratch) {
+  const BackendFixture f = backend_fixture();
+  RisConfig cfg;
+  cfg.model = DiffusionModel::kOpoao;
+  RisContext ctx(f.ef, f.rumors, f.ends, cfg);
+  ThreadPool four(4);
+  ctx.sampler.extend(ctx.selection, 0, 400, &four);
+  ctx.sampler.extend(ctx.validation, 1, 400);
+  EXPECT_EQ(ctx.sampler.retained_scratch_bytes(), 0u);
+  EXPECT_EQ(ctx.memory_bytes(),
+            ctx.selection.memory_bytes() + ctx.validation.memory_bytes());
+  (void)ctx.sampler.rr_set(0, 99);
+  EXPECT_EQ(ctx.sampler.retained_scratch_bytes(), 0u);
+}
+
+TEST(ReverseScratchTest, OutRowPassesCsrThroughAndDecodesEfRowsOnce) {
+  const BackendFixture f = backend_fixture();
+  ReverseScratch csr_sc(f.csr.num_nodes(), 4);
+  const std::size_t csr_bytes = csr_sc.memory_bytes();
+  for (NodeId u = 0; u < f.csr.num_nodes(); ++u) {
+    EXPECT_EQ(csr_sc.out_row(f.csr, u).data(), f.csr.out_neighbors(u).data());
+  }
+  EXPECT_EQ(csr_sc.memory_bytes(), csr_bytes);  // no copy for CSR
+
+  ReverseScratch ef_sc(f.ef.num_nodes(), 4);
+  const std::size_t empty_bytes = ef_sc.memory_bytes();
+  for (NodeId u = 0; u < f.ef.num_nodes(); ++u) {
+    const auto row = ef_sc.out_row(f.ef, u);
+    const auto want = f.csr.out_neighbors(u);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), want.begin(), want.end()))
+        << "node " << u;
+  }
+  const std::size_t full_bytes = ef_sc.memory_bytes();
+  EXPECT_GT(full_bytes, empty_bytes);
+  // Bound: 8 B per node of slots plus at most 4 B per arc of rows.
+  EXPECT_LE(full_bytes - empty_bytes,
+            8 * f.ef.num_nodes() + 4 * f.ef.num_edges());
+  // A second touch indexes the decoded copy: same memory, nothing grows.
+  const NodeId* hub = ef_sc.out_row(f.ef, 1).data();
+  ef_sc.bump_epoch();
+  EXPECT_EQ(ef_sc.out_row(f.ef, 1).data(), hub);
+  EXPECT_EQ(ef_sc.memory_bytes(), full_bytes);
 }
 
 TEST(RisModeTest, ToStringNames) {
