@@ -14,6 +14,9 @@
 //                     test's check)
 //   ef_over_csr       BM_RisGenerate_Backend: OPOAO RR generation time on
 //                     the Elias-Fano graph over CSR, same run
+//   fused_over_seq    BM_RisGenerate_Pair: time to grow the selection and
+//                     validation pools in one extend over two back-to-back
+//                     extends, same run
 //
 // Regenerate the committed record from a Release build with:
 //   ./build/bench/bench_micro_ris --benchmark_out=bench/BENCH_ris.json
@@ -194,17 +197,15 @@ void BM_RisGenerate_ThreadSweep(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
 }
 
-/// Backend A/B of the OPOAO reverse search: the same 512 draws on the Email
-/// analog (scale 0.3, 5 rumors in the planted small community) grown on CSR
-/// and on Elias-Fano, one thread, timed back to back in every iteration.
-/// `ef_over_csr` is the same-run time ratio; `pools_equal` is 1 when the two
-/// pools agree set for set.
-void BM_RisGenerate_Backend(benchmark::State& state) {
-  struct EmailSetup {
-    DiGraph csr;
-    EfGraph ef;
-    std::vector<NodeId> rumors, ends;
-  };
+struct EmailSetup {
+  DiGraph csr;
+  EfGraph ef;
+  std::vector<NodeId> rumors, ends;
+};
+
+/// The Email analog (scale 0.3, 5 rumors in the planted small community) —
+/// the graph perfbench's ris_cover workload serves from Elias-Fano.
+const EmailSetup& email_setup() {
   static const EmailSetup setup = [] {
     DatasetSubstitute ds = make_enron_like(/*seed=*/21, /*scale=*/0.3);
     const Partition part(ds.net.membership);
@@ -217,6 +218,27 @@ void BM_RisGenerate_Backend(benchmark::State& state) {
     out.ends = std::move(ex.bridges.bridge_ends);
     return out;
   }();
+  return setup;
+}
+
+bool same_pools(const RrPool& a, const RrPool& b) {
+  if (a.num_sets() != b.num_sets() || a.nodes_visited() != b.nodes_visited() ||
+      a.total_entries() != b.total_entries()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.num_sets(); ++i) {
+    const auto x = a.set_nodes(i), y = b.set_nodes(i);
+    if (!std::equal(x.begin(), x.end(), y.begin(), y.end())) return false;
+  }
+  return true;
+}
+
+/// Backend A/B of the OPOAO reverse search: the same 512 draws on the Email
+/// analog grown on CSR and on Elias-Fano, one thread, timed back to back in
+/// every iteration. `ef_over_csr` is the same-run time ratio; `pools_equal`
+/// is 1 when the two pools agree set for set.
+void BM_RisGenerate_Backend(benchmark::State& state) {
+  const EmailSetup& setup = email_setup();
   constexpr std::size_t kDraws = 512;
   RisConfig rc;
   rc.model = DiffusionModel::kOpoao;
@@ -235,12 +257,7 @@ void BM_RisGenerate_Backend(benchmark::State& state) {
     ef_ms += t.millis();
     benchmark::DoNotOptimize(a.total_entries());
     benchmark::DoNotOptimize(b.total_entries());
-    equal = equal && a.nodes_visited() == b.nodes_visited() &&
-            a.total_entries() == b.total_entries();
-    for (std::size_t i = 0; equal && i < kDraws; ++i) {
-      const auto x = a.set_nodes(i), y = b.set_nodes(i);
-      equal = std::equal(x.begin(), x.end(), y.begin(), y.end());
-    }
+    equal = equal && same_pools(a, b);
   }
   const auto iters = static_cast<double>(state.iterations());
   state.counters["csr_ms"] = csr_ms / iters;
@@ -248,6 +265,46 @@ void BM_RisGenerate_Backend(benchmark::State& state) {
   state.counters["ef_over_csr"] = csr_ms > 0.0 ? ef_ms / csr_ms : 0.0;
   state.counters["pools_equal"] = equal ? 1.0 : 0.0;
   state.counters["bridge_ends"] = static_cast<double>(setup.ends.size());
+}
+
+/// Pool-growth A/B: a cold RIS select's two pools — 256 OPOAO draws each
+/// on streams 0 and 1, the Elias-Fano Email analog, a 4-thread pool — grown
+/// by one fused extend and by two back-to-back single-pool extends (each
+/// with its own fork, tail and index rebuild), timed back to back in every
+/// iteration. `fused_over_seq` is the same-run time ratio; `pools_equal` is
+/// 1 when both ways built the same two pools.
+void BM_RisGenerate_Pair(benchmark::State& state) {
+  const EmailSetup& setup = email_setup();
+  constexpr std::size_t kDraws = 256;
+  constexpr std::size_t kThreads = 4;
+  RisConfig rc;
+  rc.model = DiffusionModel::kOpoao;
+  rc.seed = 9;
+  const RrSampler ef(setup.ef, setup.rumors, setup.ends, rc);
+  ThreadPool pool(kThreads);
+  double fused_ms = 0.0, seq_ms = 0.0;
+  bool equal = true;
+  for (auto _ : state) {
+    RrPool fused_sel, fused_val, seq_sel, seq_val;
+    Timer t;
+    const RrGrowJob jobs[] = {{&fused_sel, 0, kDraws}, {&fused_val, 1, kDraws}};
+    ef.extend(jobs, &pool);
+    fused_ms += t.millis();
+    t.restart();
+    ef.extend(seq_sel, 0, kDraws, &pool);
+    ef.extend(seq_val, 1, kDraws, &pool);
+    seq_ms += t.millis();
+    benchmark::DoNotOptimize(fused_val.total_entries());
+    benchmark::DoNotOptimize(seq_val.total_entries());
+    equal = equal && same_pools(fused_sel, seq_sel) &&
+            same_pools(fused_val, seq_val);
+  }
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters["fused_ms"] = fused_ms / iters;
+  state.counters["seq_ms"] = seq_ms / iters;
+  state.counters["fused_over_seq"] = seq_ms > 0.0 ? fused_ms / seq_ms : 0.0;
+  state.counters["pools_equal"] = equal ? 1.0 : 0.0;
+  state.counters["threads"] = static_cast<double>(kThreads);
 }
 
 BENCHMARK(BM_SelectMc_HepOpoao)->Unit(benchmark::kMillisecond);
@@ -264,6 +321,10 @@ BENCHMARK(BM_RisGenerate_ThreadSweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_RisGenerate_Backend)->Unit(benchmark::kMillisecond)->Iterations(3);
+BENCHMARK(BM_RisGenerate_Pair)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(10)
+    ->UseRealTime();
 
 }  // namespace
 

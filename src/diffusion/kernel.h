@@ -26,10 +26,12 @@
 //    the realization-cache replays and the reverse-reachability samplers.
 //    "Clearing" between uses is a counter bump, not an O(n) write; leasing
 //    is owned by the calling layer (sigma_engine.cpp, ris.cpp).
-//    ReverseScratch also keeps the out-rows its draws decoded (out_row).
+//    ReverseScratch also keeps the rows its draws decoded (out_row,
+//    in_row) and the bitmap that sorts an RR set (sort_members).
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -211,13 +213,21 @@ struct ReverseShared {
 /// O(n). Leased under a mutex by RrSampler for the length of one extend or
 /// rr_set call; concurrent draws each hold one.
 struct ReverseScratch {
+  /// sort_members' density cut-over: a set whose id range spans more than
+  /// this many 64-id bitmap words per member is sorted with std::sort; any
+  /// denser set is sorted through the bitmap. Set below the break-even
+  /// (8-16 words per member for sets of 32+ members on a Xeon), so sparse
+  /// sets never pay a long word scan.
+  static constexpr std::size_t kBitmapWordsPerMember = 4;
+
   ReverseScratch(NodeId n, std::uint32_t hops)
       : t0_epoch(n, 0),
         t0(n, 0),
         lat_epoch(n, 0),
         lat(n, 0),
         done_epoch(n, 0),
-        buckets(static_cast<std::size_t>(hops) + 1) {}
+        buckets(static_cast<std::size_t>(hops) + 1),
+        bits((static_cast<std::size_t>(n) + 63) / 64, 0) {}
 
   void bump_epoch() {
     if (++epoch == 0) {  // wrapped: stamps from the previous era could alias
@@ -232,38 +242,45 @@ struct ReverseScratch {
   /// random positions (the OPOAO pick stream). A backend whose rows already
   /// are spans (CSR) is handed through, resolved at compile time. Any other
   /// backend (Elias-Fano, where row[i] is a select) has u's row decoded once,
-  /// sequentially, into `rows` the first time u is touched; every later
+  /// sequentially, into an arena the first time u is touched; every later
   /// call, by any draw sharing this scratch, indexes the plain copy. The
   /// graph is immutable, so bump_epoch leaves decoded rows alone. The span
   /// is valid until the next out_row call.
   template <class G>
   std::span<const NodeId> out_row(const G& g, NodeId u) {
-    if constexpr (std::is_same_v<decltype(g.out_neighbors(u)),
-                                 std::span<const NodeId>>) {
-      return g.out_neighbors(u);
-    } else {
-      if (row_at.empty()) {
-        LCRB_REQUIRE(g.num_edges() < kNotDecoded,
-                     "decoded-row offsets must fit in 32 bits");
-        row_at.assign(g.num_nodes(), RowSlot{});
-      }
-      RowSlot& slot = row_at[u];
-      if (slot.off == kNotDecoded) {
-        const auto nbrs = g.out_neighbors(u);
-        const std::size_t off = rows.size();
-        if (rows.capacity() < off + nbrs.size()) {
-          // Geometric growth capped at the arc count: the arena never holds
-          // more than 4 B per arc.
-          rows.reserve(std::min<std::size_t>(
-              std::max(off + nbrs.size(), 2 * rows.capacity()),
-              g.num_edges()));
-        }
-        for (NodeId v : nbrs) rows.push_back(v);
-        slot = {static_cast<std::uint32_t>(off),
-                static_cast<std::uint32_t>(nbrs.size())};
-      }
-      return {rows.data() + slot.off, slot.len};
+    return decoded_row(out_rows_, g, u, [&] { return g.out_neighbors(u); });
+  }
+
+  /// u's in-row, on the same terms as out_row but from its own arena, so an
+  /// in_row span stays valid across out_row calls (and vice versa) — the
+  /// OPOAO reverse search walks an in-row while it indexes out-rows.
+  template <class G>
+  std::span<const NodeId> in_row(const G& g, NodeId u) {
+    return decoded_row(in_rows_, g, u, [&] { return g.in_neighbors(u); });
+  }
+
+  /// Sorts `set` — distinct node ids < n — ascending. A set dense enough in
+  /// its id range (see kBitmapWordsPerMember) is marked in `bits` and read
+  /// back word by word with countr_zero: O(size + range / 64), no
+  /// comparisons. Sparser sets fall back to std::sort. `bits` is all-zero
+  /// again on return.
+  void sort_members(std::span<NodeId> set) {
+    if (set.size() < 2) return;
+    const auto [lo, hi] = std::minmax_element(set.begin(), set.end());
+    const std::size_t first = *lo / 64, last = *hi / 64;
+    if (last - first + 1 > set.size() * kBitmapWordsPerMember) {
+      std::sort(set.begin(), set.end());
+      return;
     }
+    for (NodeId v : set) bits[v / 64] |= std::uint64_t{1} << (v % 64);
+    auto out = set.begin();
+    for (std::size_t k = first; k <= last; ++k) {
+      for (std::uint64_t word = bits[k]; word != 0; word &= word - 1) {
+        *out++ = static_cast<NodeId>(k * 64 + std::countr_zero(word));
+      }
+      bits[k] = 0;
+    }
+    LCRB_CHECK(out == set.end(), "sort_members needs distinct node ids");
   }
 
   /// Heap footprint (capacity-based), for the owner's byte accounting.
@@ -272,11 +289,11 @@ struct ReverseScratch {
                         lat_epoch.capacity() + lat.capacity() +
                         done_epoch.capacity() + frontier.capacity() +
                         next.capacity() + active.capacity() +
-                        collected.capacity() + rows.capacity();
+                        collected.capacity() + 2 * bits.capacity();
     for (const auto& b : buckets) words += b.capacity();
     return sizeof(*this) + words * sizeof(std::uint32_t) +
            buckets.capacity() * sizeof(buckets[0]) +
-           row_at.capacity() * sizeof(RowSlot);
+           out_rows_.memory_bytes() + in_rows_.memory_bytes();
   }
 
   std::uint32_t epoch = 0;
@@ -288,18 +305,59 @@ struct ReverseScratch {
   std::vector<NodeId> frontier, next, active, collected;
   /// OPOAO bucket queue over claim steps; always drained back to empty.
   std::vector<std::vector<NodeId>> buckets;
+  /// sort_members' bitmap, one bit per node; all-zero between calls.
+  std::vector<std::uint64_t> bits;
 
  private:
   static constexpr std::uint32_t kNotDecoded = ~std::uint32_t{0};
-  /// Where u's decoded out-row sits in `rows`; off == kNotDecoded until then.
+  /// Where u's decoded row sits in `rows`; off == kNotDecoded until then.
   struct RowSlot {
     std::uint32_t off = kNotDecoded;
     std::uint32_t len = 0;
   };
-  /// out_row's arena, allocated on the first decode (never for CSR): 8 B per
-  /// node plus 4 B per arc of the rows this scratch's draws touched.
-  std::vector<RowSlot> row_at;
-  std::vector<NodeId> rows;
+  /// One direction's decoded rows, allocated on the first decode (never for
+  /// CSR): 8 B per node of slots plus at most 4 B per arc of rows.
+  struct RowArena {
+    std::vector<RowSlot> at;
+    std::vector<NodeId> rows;
+    std::size_t memory_bytes() const {
+      return at.capacity() * sizeof(RowSlot) + rows.capacity() * sizeof(NodeId);
+    }
+  };
+
+  /// out_row/in_row behind one arena: `row_of()` yields u's row from `g`.
+  template <class G, class RowOf>
+  static std::span<const NodeId> decoded_row(RowArena& a, const G& g, NodeId u,
+                                             RowOf row_of) {
+    if constexpr (std::is_same_v<decltype(row_of()), std::span<const NodeId>>) {
+      return row_of();
+    } else {
+      if (a.at.empty()) {
+        LCRB_REQUIRE(g.num_edges() < kNotDecoded,
+                     "decoded-row offsets must fit in 32 bits");
+        a.at.assign(g.num_nodes(), RowSlot{});
+      }
+      RowSlot& slot = a.at[u];
+      if (slot.off == kNotDecoded) {
+        const auto nbrs = row_of();
+        const std::size_t off = a.rows.size();
+        if (a.rows.capacity() < off + nbrs.size()) {
+          // Geometric growth capped at the arc count: the arena never holds
+          // more than 4 B per arc.
+          a.rows.reserve(std::min<std::size_t>(
+              std::max(off + nbrs.size(), 2 * a.rows.capacity()),
+              g.num_edges()));
+        }
+        for (NodeId v : nbrs) a.rows.push_back(v);
+        slot = {static_cast<std::uint32_t>(off),
+                static_cast<std::uint32_t>(nbrs.size())};
+      }
+      return {a.rows.data() + slot.off, slot.len};
+    }
+  }
+
+  RowArena out_rows_;
+  RowArena in_rows_;
 };
 
 }  // namespace lcrb

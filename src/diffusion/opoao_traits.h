@@ -440,7 +440,9 @@ struct OpoaoTraits {
     // steps (reachability can flip at any step: picks re-draw per step).
     // Both phases index out-rows at hashed positions, so every row read goes
     // through sc.out_row: on Elias-Fano a row is decoded once per scratch
-    // instead of paying a select per pick.
+    // instead of paying a select per pick. Phase 2's in-row walks go through
+    // sc.in_row for the same reason: a node finalized by many draws of one
+    // scratch has its in-row decoded once, not once per draw.
     sc.active.clear();
     for (NodeId v : rumors) {
       sc.t0_epoch[v] = sc.epoch;
@@ -486,7 +488,7 @@ struct OpoaoTraits {
         sc.done_epoch[w] = sc.epoch;
         out.push_back(w);
         if (b == 0) continue;  // nothing can be claimed before step 0
-        for (NodeId u : g.in_neighbors(w)) {
+        for (NodeId u : sc.in_row(g, w)) {
           ++visits;
           if (sc.done_epoch[u] == sc.epoch || is_rumor[u]) continue;
           const auto nbrs = sc.out_row(g, u);

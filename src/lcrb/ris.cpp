@@ -81,11 +81,13 @@ std::size_t RrPool::num_covered_nodes_prefix(std::size_t limit) const {
   return covered;
 }
 
-std::size_t RrPool::memory_bytes() const {
-  return sizeof(*this) + set_off_.capacity() * sizeof(std::uint32_t) +
-         nodes_.capacity() * sizeof(NodeId) +
-         inv_off_.capacity() * sizeof(std::uint32_t) +
-         inv_sets_.capacity() * sizeof(std::uint32_t);
+void RrPool::count_memory_bytes() {
+  memory_bytes_.store(sizeof(*this) +
+                          set_off_.capacity() * sizeof(std::uint32_t) +
+                          nodes_.capacity() * sizeof(NodeId) +
+                          inv_off_.capacity() * sizeof(std::uint32_t) +
+                          inv_sets_.capacity() * sizeof(std::uint32_t),
+                      std::memory_order_relaxed);
 }
 
 std::size_t RrPool::content_bytes_for(std::size_t sets, std::size_t entries,
@@ -129,6 +131,7 @@ void RrPool::set_byte_budget(std::size_t bytes) {
   nodes_.shrink_to_fit();
   rebuild_inverted_index(static_cast<NodeId>(num_nodes));
   inv_sets_.shrink_to_fit();
+  count_memory_bytes();
   LCRB_INVARIANT(validate());
 }
 
@@ -153,7 +156,7 @@ void RrPool::rebuild_inverted_index(NodeId num_graph_nodes) {
   }
 }
 
-void RrPool::append_shards(std::vector<RrShard>&& shards,
+void RrPool::append_shards(std::span<const RrShard> shards,
                            NodeId num_graph_nodes) {
   std::size_t add_sets = 0;
   std::size_t add_entries = 0;
@@ -183,6 +186,7 @@ void RrPool::append_shards(std::vector<RrShard>&& shards,
     if (byte_capped_) break;
   }
   rebuild_inverted_index(num_graph_nodes);
+  count_memory_bytes();
   LCRB_INVARIANT(validate());
 }
 
@@ -346,7 +350,7 @@ std::uint32_t RrSampler::rr_set_into(std::size_t root_idx,
       throw Error("RIS does not support " + std::string(T::kName));
     }
   });
-  std::sort(nodes.begin() + static_cast<std::ptrdiff_t>(start), nodes.end());
+  sc.sort_members(std::span<NodeId>(nodes).subspan(start));
   return static_cast<std::uint32_t>(nodes.size() - start);
 }
 
@@ -371,47 +375,76 @@ std::size_t RrSampler::retained_scratch_bytes() const {
   return bytes;
 }
 
-void RrSampler::extend(RrPool& pool, std::uint64_t stream,
-                       std::size_t target_sets, ThreadPool* tp) const {
-  const std::size_t from = pool.num_sets();
-  if (target_sets <= from) return;
-  if (pool.byte_budget() != 0 && pool.byte_capped()) return;  // already full
-  const std::size_t count = target_sets - from;
-
-  // Contiguous index shards: shard s owns draws [from + s*chunk,
-  // from + min((s+1)*chunk, count)). The shard count depends only on the
-  // pool's thread count (a few shards per thread evens out skewed reverse
-  // searches); merging in shard order makes the result independent of it.
+void RrSampler::extend(std::span<const RrGrowJob> jobs, ThreadPool* tp) const {
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (std::size_t k = 0; k < j; ++k) {
+      LCRB_REQUIRE(jobs[j].pool != jobs[k].pool,
+                   "extend jobs must grow distinct pools");
+    }
+  }
+  // Contiguous index shards, job by job: shard s of a job owns a contiguous
+  // slice of its draws, and job j owns shards [first[j], first[j + 1]). A
+  // job's shard count depends only on its draw count and the pool's thread
+  // count (a few shards per thread evens out skewed reverse searches);
+  // merging in shard order makes the pool independent of it.
+  struct ShardRange {
+    std::uint64_t stream;
+    std::size_t lo, hi;  ///< draw indices [lo, hi)
+  };
   const std::size_t threads = tp != nullptr ? tp->thread_count() : 0;
-  const std::size_t num_shards =
-      (threads > 1 && count > 1) ? std::min(count, threads * 4) : 1;
-  const std::size_t chunk = (count + num_shards - 1) / num_shards;
+  std::vector<ShardRange> ranges;
+  std::vector<std::size_t> first(jobs.size() + 1, 0);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const RrGrowJob& job = jobs[j];
+    first[j] = ranges.size();
+    const std::size_t from = job.pool->num_sets();
+    if (job.target_sets <= from) continue;
+    if (job.pool->byte_budget() != 0 && job.pool->byte_capped()) continue;
+    const std::size_t count = job.target_sets - from;
+    const std::size_t num_shards =
+        (threads > 1 && count > 1) ? std::min(count, threads * 4) : 1;
+    const std::size_t chunk = (count + num_shards - 1) / num_shards;
+    for (std::size_t lo = 0; lo < count; lo += chunk) {
+      ranges.push_back(
+          {job.stream, from + lo, from + std::min(lo + chunk, count)});
+    }
+  }
+  first[jobs.size()] = ranges.size();
+  if (ranges.empty()) return;
 
   const ScratchRelease release{*this};
-  std::vector<RrShard> shards(num_shards);
+  std::vector<RrShard> shards(ranges.size());
   auto fill_shard = [&](std::size_t s) {
-    const std::size_t lo = s * chunk;
-    const std::size_t hi = std::min(lo + chunk, count);
-    if (lo >= hi) return;
+    const ShardRange& r = ranges[s];
     RrShard& sh = shards[s];
-    sh.sizes.reserve(hi - lo);
     if (bridge_ends_.empty()) {  // no targets: every set is null
-      sh.sizes.assign(hi - lo, 0);
+      sh.sizes.assign(r.hi - r.lo, 0);
       return;
     }
+    sh.sizes.reserve(r.hi - r.lo);
     ScratchLease lease(*this);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Draw d = draw(stream, from + i);
+    for (std::size_t i = r.lo; i < r.hi; ++i) {
+      const Draw d = draw(r.stream, i);
       sh.sizes.push_back(rr_set_into(d.root_idx, d.realization_seed,
                                      *lease.scratch, sh.nodes, sh.visits));
     }
   };
-  if (tp != nullptr && num_shards > 1) {
-    tp->parallel_for(num_shards, fill_shard);
+  // Merge: each pool appends its own shards and rebuilds its own inverted
+  // index, so distinct pools merge concurrently.
+  auto merge_job = [&](std::size_t j) {
+    if (first[j] == first[j + 1]) return;  // nothing drawn for this pool
+    jobs[j].pool->append_shards(
+        std::span<const RrShard>(shards).subspan(first[j],
+                                                 first[j + 1] - first[j]),
+        g_.num_nodes());
+  };
+  if (tp != nullptr) {
+    tp->parallel_for(shards.size(), fill_shard);
+    tp->parallel_for(jobs.size(), merge_job);
   } else {
-    for (std::size_t s = 0; s < num_shards; ++s) fill_shard(s);
+    for (std::size_t s = 0; s < shards.size(); ++s) fill_shard(s);
+    for (std::size_t j = 0; j < jobs.size(); ++j) merge_job(j);
   }
-  pool.append_shards(std::move(shards), g_.num_nodes());
 }
 
 // ---------------------------------------------------------------------------
@@ -580,13 +613,11 @@ RisGreedyResult ris_greedy_with_context(double alpha,
   for (std::size_t k = 0; k < schedule.size(); ++k) {
     std::size_t theta = schedule[k];
     {
+      // Both pools grow in one fork (extend skips a pool already at theta).
       std::unique_lock<std::shared_mutex> grow(ctx.mu);
-      if (ctx.selection.num_sets() < theta) {
-        ctx.sampler.extend(ctx.selection, 0, theta, pool);
-      }
-      if (ctx.validation.num_sets() < theta) {
-        ctx.sampler.extend(ctx.validation, 1, theta, pool);
-      }
+      const RrGrowJob jobs[] = {{&ctx.selection, 0, theta},
+                                {&ctx.validation, 1, theta}};
+      ctx.sampler.extend(jobs, pool);
     }
     std::shared_lock<std::shared_mutex> read(ctx.mu);
     // A byte-budgeted pool may stall below theta; evaluate on what both

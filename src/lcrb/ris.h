@@ -44,6 +44,7 @@
 // across thread counts (PR 1's fixed-order reduction convention).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -110,6 +111,8 @@ struct RrShard {
 /// Grows in rounds via RrSampler::extend; set i keeps its identity forever.
 class RrPool {
  public:
+  RrPool() { count_memory_bytes(); }
+
   /// Number of RR sets, including null sets (root not rumor-reached in its
   /// realization — nothing to save, but it still counts in the denominator).
   std::size_t num_sets() const { return set_off_.size() - 1; }
@@ -148,8 +151,12 @@ class RrPool {
   std::size_t num_covered_nodes_prefix(std::size_t limit) const;
 
   /// Heap footprint of the pool's arrays (capacity-based), for the session
-  /// registry's byte accounting.
-  std::size_t memory_bytes() const;
+  /// registry's byte accounting. Safe to call while another thread grows
+  /// the pool: it reads a byte count the pool republishes after every
+  /// append or retirement, not the arrays themselves.
+  std::size_t memory_bytes() const {
+    return memory_bytes_.load(std::memory_order_relaxed);
+  }
 
   /// Bytes the pool's CONTENT occupies (size-based, a pure function of the
   /// stored sets — unlike memory_bytes, independent of growth history).
@@ -181,8 +188,10 @@ class RrPool {
   /// Honors the byte budget: sets that would push content_bytes past it are
   /// dropped (all-or-nothing per set, scanning in index order, so the kept
   /// prefix is exactly what an identically-budgeted cold pool would hold).
-  void append_shards(std::vector<RrShard>&& shards, NodeId num_graph_nodes);
+  void append_shards(std::span<const RrShard> shards, NodeId num_graph_nodes);
   void rebuild_inverted_index(NodeId num_graph_nodes);
+  /// Publishes the arrays' current capacity-based footprint to memory_bytes.
+  void count_memory_bytes();
   /// Content bytes of a pool holding `sets` sets and `entries` entries.
   static std::size_t content_bytes_for(std::size_t sets, std::size_t entries,
                                        std::size_t num_graph_nodes);
@@ -196,6 +205,17 @@ class RrPool {
   std::uint64_t nodes_visited_ = 0;
   std::size_t byte_budget_ = 0;  ///< content-byte cap; 0 = unlimited
   bool byte_capped_ = false;
+  /// Kept outside the owner's lock so memory_bytes() never waits on (or
+  /// races with) a pool extension.
+  std::atomic<std::size_t> memory_bytes_{0};
+};
+
+/// One pool RrSampler::extend grows: `pool` toward `target_sets` RR sets
+/// with draws [pool->num_sets(), target_sets) of `stream`.
+struct RrGrowJob {
+  RrPool* pool;
+  std::uint64_t stream;
+  std::size_t target_sets;
 };
 
 /// Draws RR sets under the coupled competitive models. Thread-safe: parallel
@@ -226,15 +246,23 @@ class RrSampler {
                              std::uint64_t realization_seed,
                              std::uint64_t* visits = nullptr) const;
 
-  /// Grows `pool` toward `target_sets` RR sets using draws
-  /// [pool.num_sets(), target_sets) of `stream`. The draw range is split
-  /// into contiguous index shards, each filled into its own CSR shard buffer
-  /// (one scratch lease per shard, no per-set heap allocation) — in parallel
-  /// when `tp` is given — then merged in fixed shard order, so the pool is
-  /// bit-identical at 0/1/N threads. A byte-budgeted pool may stop short of
-  /// `target_sets`; check pool.num_sets() / pool.byte_capped().
+  /// Grows every job's pool (pools must be distinct). Each job's draw range
+  /// is split into contiguous index shards; the shards of ALL jobs are
+  /// filled in one fork — in parallel when `tp` is given, each into its own
+  /// CSR shard buffer (one scratch lease per shard, no per-set heap
+  /// allocation) — so one pool's stragglers overlap the other's draws. Each
+  /// pool then merges its own shards in shard order, and the pools rebuild
+  /// their inverted indexes in parallel. A pool's contents depend only on
+  /// its draw indices, so every pool is bit-identical at 0/1/N threads and
+  /// to growing it alone. A byte-budgeted pool may stop short of its
+  /// target; check num_sets() / byte_capped().
+  void extend(std::span<const RrGrowJob> jobs, ThreadPool* tp = nullptr) const;
+  /// The one-job case: grows `pool` toward `target_sets` with `stream`.
   void extend(RrPool& pool, std::uint64_t stream, std::size_t target_sets,
-              ThreadPool* tp = nullptr) const;
+              ThreadPool* tp = nullptr) const {
+    const RrGrowJob job{&pool, stream, target_sets};
+    extend(std::span<const RrGrowJob>(&job, 1), tp);
+  }
 
   /// Heap bytes of idle scratch buffers the sampler holds between calls.
   /// extend and rr_set release their scratch on return, so this is 0 unless
@@ -250,8 +278,8 @@ class RrSampler {
   struct ScratchRelease;
 
   /// Appends the RR set of one (root, realization) pair to `nodes` (its
-  /// freshly written tail sorted ascending) and returns its size; the shard
-  /// fill loop shares one scratch across all its draws.
+  /// freshly written tail sorted ascending by sc.sort_members) and returns
+  /// its size; the shard fill loop shares one scratch across all its draws.
   std::uint32_t rr_set_into(std::size_t root_idx,
                             std::uint64_t realization_seed, ReverseScratch& sc,
                             std::vector<NodeId>& nodes,
@@ -340,7 +368,8 @@ struct RisContext {
   mutable std::shared_mutex mu;  ///< extend: unique; evaluate: shared
 
   /// Pool heap footprint plus any scratch the sampler retains (none once
-  /// extend has returned).
+  /// extend has returned). Does not take `mu`: the session registry calls
+  /// it while a query may be extending the pools under that lock.
   std::size_t memory_bytes() const {
     return selection.memory_bytes() + validation.memory_bytes() +
            sampler.retained_scratch_bytes();

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "community/partition.h"
@@ -676,19 +680,131 @@ TEST(RrPoolBackendTest, CsrAndEfPoolsAreByteIdenticalAtEveryThreadCount) {
   }
 }
 
+TEST(RrPoolBackendTest, FusedExtendMatchesSequentialExtends) {
+  const BackendFixture f = backend_fixture();
+  ThreadPool one(1), four(4);
+  for (DiffusionModel model :
+       {DiffusionModel::kOpoao, DiffusionModel::kIc, DiffusionModel::kDoam}) {
+    RisConfig cfg;
+    cfg.model = model;
+    cfg.ic_edge_prob = 0.3;
+    cfg.max_hops = 12;
+    const RrSampler csr_sampler(f.csr, f.rumors, f.ends, cfg);
+    const RrSampler ef_sampler(f.ef, f.rumors, f.ends, cfg);
+    // Reference: each pool grown alone, serially, on CSR.
+    RrPool want_sel, want_val;
+    csr_sampler.extend(want_sel, 0, 300);
+    csr_sampler.extend(want_val, 1, 220);
+    // A budget halfway through the validation pool's content caps it and
+    // leaves the selection pool whole.
+    const std::size_t budget =
+        (want_val.content_bytes() + RrPool().content_bytes()) / 2;
+    RrPool want_capped;
+    want_capped.set_byte_budget(budget);
+    csr_sampler.extend(want_capped, 1, 220);
+    ASSERT_TRUE(want_capped.byte_capped()) << to_string(model);
+    ASSERT_LT(want_capped.num_sets(), 220u) << to_string(model);
+
+    for (const RrSampler* sampler : {&csr_sampler, &ef_sampler}) {
+      for (ThreadPool* tp : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+        const std::string what =
+            to_string(model) + (sampler == &csr_sampler ? " CSR" : " EF") +
+            " threads=" +
+            std::to_string(tp == nullptr ? 0 : tp->thread_count());
+        RrPool sel, val;
+        const RrGrowJob both[] = {{&sel, 0, 300}, {&val, 1, 220}};
+        sampler->extend(both, tp);
+        expect_same_pool(want_sel, sel, "fused selection " + what);
+        expect_same_pool(want_val, val, "fused validation " + what);
+
+        // Staged: the selection pool is already grown and gets no draws, so
+        // only the validation job runs, from a nonzero start.
+        RrPool staged_sel, staged_val;
+        sampler->extend(staged_sel, 0, 300, tp);
+        sampler->extend(staged_val, 1, 90, tp);
+        const RrGrowJob rest[] = {{&staged_sel, 0, 120},
+                                  {&staged_val, 1, 220}};
+        sampler->extend(rest, tp);
+        expect_same_pool(want_sel, staged_sel, "staged selection " + what);
+        expect_same_pool(want_val, staged_val, "staged validation " + what);
+
+        RrPool open, capped;
+        capped.set_byte_budget(budget);
+        const RrGrowJob pair[] = {{&open, 0, 300}, {&capped, 1, 220}};
+        sampler->extend(pair, tp);
+        expect_same_pool(want_sel, open, "uncapped of pair " + what);
+        expect_same_pool(want_capped, capped, "capped of pair " + what);
+        EXPECT_FALSE(open.byte_capped()) << what;
+        EXPECT_TRUE(capped.byte_capped()) << what;
+      }
+    }
+  }
+}
+
+TEST(RrPoolBackendTest, ExtendRejectsTwoJobsOnOnePool) {
+  const BackendFixture f = backend_fixture();
+  const RrSampler sampler(f.csr, f.rumors, f.ends, RisConfig{});
+  RrPool pool;
+  const RrGrowJob twice[] = {{&pool, 0, 10}, {&pool, 1, 10}};
+  EXPECT_THROW(sampler.extend(twice), Error);
+  EXPECT_EQ(pool.num_sets(), 0u);
+}
+
 TEST(RrPoolBackendTest, ExtendReleasesItsScratch) {
   const BackendFixture f = backend_fixture();
   RisConfig cfg;
   cfg.model = DiffusionModel::kOpoao;
   RisContext ctx(f.ef, f.rumors, f.ends, cfg);
   ThreadPool four(4);
-  ctx.sampler.extend(ctx.selection, 0, 400, &four);
+  const RrGrowJob both[] = {{&ctx.selection, 0, 400},
+                            {&ctx.validation, 1, 300}};
+  ctx.sampler.extend(both, &four);
+  EXPECT_EQ(ctx.sampler.retained_scratch_bytes(), 0u);
   ctx.sampler.extend(ctx.validation, 1, 400);
   EXPECT_EQ(ctx.sampler.retained_scratch_bytes(), 0u);
   EXPECT_EQ(ctx.memory_bytes(),
             ctx.selection.memory_bytes() + ctx.validation.memory_bytes());
   (void)ctx.sampler.rr_set(0, 99);
   EXPECT_EQ(ctx.sampler.retained_scratch_bytes(), 0u);
+}
+
+TEST(RisContextTest, MemoryBytesCanBePolledWhileThePoolsGrow) {
+  // The session registry reads memory_bytes() without the context lock
+  // while a query extends the pools under it.
+  const BackendFixture f = backend_fixture();
+  RisConfig cfg;
+  cfg.model = DiffusionModel::kOpoao;
+  RisContext ctx(f.ef, f.rumors, f.ends, cfg);
+  ThreadPool two(2);
+  std::atomic<bool> done{false};
+  std::size_t polls = 0;
+  std::size_t last = 0;
+  bool monotone = true;
+  std::thread poller([&] {
+    while (!done.load()) {
+      (void)ctx.memory_bytes();  // the registry's call
+      // Leased scratch comes and goes, but with no budget the pools'
+      // capacity only grows.
+      const std::size_t bytes =
+          ctx.selection.memory_bytes() + ctx.validation.memory_bytes();
+      monotone = monotone && bytes >= last;
+      last = bytes;
+      ++polls;
+    }
+  });
+  for (std::size_t theta = 40; theta <= 400; theta += 40) {
+    std::unique_lock<std::shared_mutex> grow(ctx.mu);
+    const RrGrowJob both[] = {{&ctx.selection, 0, theta},
+                              {&ctx.validation, 1, theta}};
+    ctx.sampler.extend(both, &two);
+  }
+  done.store(true);
+  poller.join();
+  EXPECT_GT(polls, 0u);
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(ctx.selection.num_sets(), 400u);
+  EXPECT_EQ(ctx.memory_bytes(),
+            ctx.selection.memory_bytes() + ctx.validation.memory_bytes());
 }
 
 TEST(ReverseScratchTest, OutRowPassesCsrThroughAndDecodesEfRowsOnce) {
@@ -718,6 +834,79 @@ TEST(ReverseScratchTest, OutRowPassesCsrThroughAndDecodesEfRowsOnce) {
   ef_sc.bump_epoch();
   EXPECT_EQ(ef_sc.out_row(f.ef, 1).data(), hub);
   EXPECT_EQ(ef_sc.memory_bytes(), full_bytes);
+}
+
+TEST(ReverseScratchTest, InRowPassesCsrThroughAndDecodesEfRowsOnce) {
+  const BackendFixture f = backend_fixture();
+  ReverseScratch csr_sc(f.csr.num_nodes(), 4);
+  const std::size_t csr_bytes = csr_sc.memory_bytes();
+  for (NodeId u = 0; u < f.csr.num_nodes(); ++u) {
+    EXPECT_EQ(csr_sc.in_row(f.csr, u).data(), f.csr.in_neighbors(u).data());
+  }
+  EXPECT_EQ(csr_sc.memory_bytes(), csr_bytes);  // no copy for CSR
+
+  ReverseScratch ef_sc(f.ef.num_nodes(), 4);
+  const std::size_t empty_bytes = ef_sc.memory_bytes();
+  for (NodeId u = 0; u < f.ef.num_nodes(); ++u) {
+    const auto row = ef_sc.in_row(f.ef, u);
+    const auto want = f.csr.in_neighbors(u);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), want.begin(), want.end()))
+        << "node " << u;
+  }
+  const std::size_t full_bytes = ef_sc.memory_bytes();
+  EXPECT_GT(full_bytes, empty_bytes);
+  // Bound: 8 B per node of slots plus at most 4 B per arc of rows.
+  EXPECT_LE(full_bytes - empty_bytes,
+            8 * f.ef.num_nodes() + 4 * f.ef.num_edges());
+  // In-rows live in their own arena: decoding every out-row leaves each
+  // decoded in-row where it was, and a second touch decodes nothing.
+  const NodeId* hub_in = ef_sc.in_row(f.ef, 1).data();
+  for (NodeId u = 0; u < f.ef.num_nodes(); ++u) (void)ef_sc.out_row(f.ef, u);
+  const std::size_t both_bytes = ef_sc.memory_bytes();
+  ef_sc.bump_epoch();
+  EXPECT_EQ(ef_sc.in_row(f.ef, 1).data(), hub_in);
+  EXPECT_EQ(ef_sc.memory_bytes(), both_bytes);
+}
+
+TEST(ReverseScratchTest, SortMembersMatchesStdSortAroundTheDensityCutover) {
+  constexpr std::size_t kWords = ReverseScratch::kBitmapWordsPerMember;
+  const NodeId n = 64 * 4096;
+  ReverseScratch sc(n, 4);
+  Rng rng(53);
+  for (std::size_t size : {2u, 3u, 17u, 64u, 500u}) {
+    // words == size * kWords is the densest range still sorted with the
+    // bitmap; one more word falls back to std::sort.
+    for (std::size_t words : {size * kWords, size * kWords + 1}) {
+      const std::size_t first_word = 7;
+      const NodeId lo = static_cast<NodeId>(first_word * 64 + 5);
+      const NodeId hi = static_cast<NodeId>((first_word + words - 1) * 64 + 60);
+      std::vector<NodeId> set = {lo, hi};
+      while (set.size() < size) {
+        const auto v = static_cast<NodeId>(lo + rng.next_below(hi - lo));
+        if (std::find(set.begin(), set.end(), v) == set.end()) set.push_back(v);
+      }
+      for (std::size_t i = set.size(); i > 1; --i) {  // shuffle
+        std::swap(set[i - 1], set[rng.next_below(i)]);
+      }
+      std::vector<NodeId> want = set;
+      std::sort(want.begin(), want.end());
+      sc.sort_members(set);
+      EXPECT_EQ(set, want) << "size " << size << " words " << words;
+      EXPECT_TRUE(std::all_of(sc.bits.begin(), sc.bits.end(),
+                              [](std::uint64_t w) { return w == 0; }))
+          << "bitmap must be left clear";
+    }
+  }
+  // A bitmap-sorted set that reaches the graph's first and last ids.
+  std::vector<NodeId> edges(n / 64 / kWords);
+  std::iota(edges.begin(), edges.end(),
+            static_cast<NodeId>(n - edges.size()));
+  edges.push_back(0);
+  std::reverse(edges.begin(), edges.end());
+  std::vector<NodeId> want = edges;
+  std::sort(want.begin(), want.end());
+  sc.sort_members(edges);
+  EXPECT_EQ(edges, want);
 }
 
 TEST(RisModeTest, ToStringNames) {
